@@ -20,6 +20,7 @@ window of the last ``J`` seconds of packet IDs; per-packet work is constant.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -440,9 +441,11 @@ class Aggregator:
 
         # 4. Sliding-window occupancy: other's first J seconds of packets also
         #    counted our still-in-window trailing packets.
-        left_times = [seen for _, seen in self._recent]
+        #    Counted by bisection over one sorted copy of our window times,
+        #    which is exact whatever their order.
+        left_times = sorted(seen for _, seen in self._recent)
         for position, (_, time) in enumerate(other._lead):
-            carried = sum(1 for seen in left_times if seen >= time - window)
+            carried = len(left_times) - bisect_left(left_times, time - window)
             occupancy = position + 1 + carried
             if occupancy > self._max_window_occupancy:
                 self._max_window_occupancy = occupancy

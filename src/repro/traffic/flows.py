@@ -17,7 +17,7 @@ expands them into interleaved packet sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from repro.net.prefixes import PrefixPair
 from repro.util.rng import make_rng
 from repro.util.validation import check_positive, check_probability
 
-__all__ = ["Flow", "FlowGeneratorConfig", "FlowGenerator", "PACKET_SIZE_MODES"]
+__all__ = ["Flow", "FlowColumns", "FlowGeneratorConfig", "FlowGenerator", "PACKET_SIZE_MODES"]
 
 # (size in bytes, probability) — a three-mode approximation of the classic
 # Internet packet-size distribution: TCP ACKs, default-MSS segments and
@@ -35,6 +35,9 @@ PACKET_SIZE_MODES: tuple[tuple[int, float], ...] = (
     (576, 0.25),
     (1500, 0.25),
 )
+
+#: Destination ports a flow picks from, besides one random high port.
+WELL_KNOWN_PORTS: tuple[int, ...] = (80, 443, 53, 25, 8080)
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,6 +75,46 @@ class Flow:
             raise ValueError(
                 f"mean_interarrival must be positive, got {self.mean_interarrival}"
             )
+
+
+@dataclass(frozen=True)
+class FlowColumns:
+    """A flow population column by column: one array per :class:`Flow` field."""
+
+    flow_id: np.ndarray
+    src_ip: np.ndarray
+    dst_ip: np.ndarray
+    src_port: np.ndarray
+    dst_port: np.ndarray
+    protocol: np.ndarray
+    packet_count: np.ndarray
+    start_time: np.ndarray
+    mean_interarrival: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.flow_id)
+
+    @classmethod
+    def from_flows(cls, flows: list[Flow]) -> "FlowColumns":
+        return cls(
+            *(
+                np.asarray([getattr(flow, field.name) for flow in flows])
+                for field in fields(cls)
+            )
+        )
+
+    @classmethod
+    def concatenate(cls, blocks: list["FlowColumns"]) -> "FlowColumns":
+        return cls(
+            *(
+                np.concatenate([getattr(block, field.name) for block in blocks])
+                for field in fields(cls)
+            )
+        )
+
+    def flows(self) -> list[Flow]:
+        columns = [getattr(self, field.name).tolist() for field in fields(self)]
+        return [Flow(*values) for values in zip(*columns)]
 
 
 @dataclass(frozen=True)
@@ -140,23 +183,118 @@ class FlowGenerator:
 
     def generate(self, total_packets: int) -> list[Flow]:
         """Generate flows whose sizes sum to at least ``total_packets``."""
+        return self.generate_columns(total_packets).flows()
+
+    def generate_columns(self, total_packets: int) -> FlowColumns:
+        """:meth:`generate` as columns, without a per-flow loop where possible.
+
+        Each block of flow sizes is turned into flows by :meth:`_block_columns`,
+        which decodes the block's per-flow draws from one raw-word draw.  When
+        it cannot (another bit generator, a rejected bounded-integer draw), the
+        block falls back to the per-flow :meth:`_make_flow` loop, which defines
+        the draw order and stays the oracle.  Either way the RNG stream and
+        the flows are identical.
+        """
         if total_packets <= 0:
             raise ValueError(f"total_packets must be positive, got {total_packets}")
         config = self.config
-        flows: list[Flow] = []
+        blocks: list[FlowColumns] = []
         generated = 0
         expected_flows = max(4, int(total_packets / config.mean_flow_size))
         while generated < total_packets:
             batch = max(4, expected_flows // 4)
             sizes = self._flow_sizes(batch)
-            for size in sizes:
-                if generated >= total_packets:
-                    break
-                size = int(min(size, total_packets - generated)) or 1
-                flow = self._make_flow(size)
-                flows.append(flow)
-                generated += size
+            block = self._block_columns(sizes, generated, total_packets)
+            if block is None:
+                block = FlowColumns.from_flows(
+                    self._block_flows(sizes, generated, total_packets)
+                )
+            blocks.append(block)
+            generated += int(block.packet_count.sum())
+        return FlowColumns.concatenate(blocks)
+
+    def _block_flows(self, sizes: np.ndarray, generated: int, total_packets: int) -> list[Flow]:
+        """One block of flows, made one at a time."""
+        flows: list[Flow] = []
+        for size in sizes:
+            if generated >= total_packets:
+                break
+            size = int(min(size, total_packets - generated)) or 1
+            flows.append(self._make_flow(size))
+            generated += size
         return flows
+
+    def _block_columns(
+        self, sizes: np.ndarray, generated: int, total_packets: int
+    ) -> FlowColumns | None:
+        """One block of flows decoded from raw PCG64 words, or ``None``.
+
+        Per flow, :meth:`_make_flow` draws two doubles (one 64-bit word each)
+        then five bounded integers below 2**32.  Those take 32-bit halves
+        through the bit generator's persistent buffer: a fresh word's low half
+        first, its high half kept for the next 32-bit draw.  So flows
+        alternate between five and four raw words, and each integer is
+        Lemire's ``(u32 * n) >> 32``.  Returns ``None``, with the generator
+        untouched, if the bit generator is not ``PCG64``, a size is below
+        one packet, or any integer draw would take Lemire's rejection branch.
+        """
+        bit_generator = self._rng.bit_generator
+        if type(bit_generator) is not np.random.PCG64 or sizes.min() < 1:
+            return None
+        # The flows this block contributes; the last one is cut to the total.
+        ends = generated + np.cumsum(sizes, dtype=np.int64)
+        used = min(int(np.searchsorted(ends, total_packets)) + 1, len(sizes))
+        packet_count = np.diff(np.minimum(ends[:used], total_packets), prepend=generated)
+
+        state = bit_generator.state
+        buffered = state["has_uint32"]
+        word_count = np.where((np.arange(used) + buffered) % 2 == 0, 5, 4)
+        first_word = np.cumsum(word_count) - word_count
+        words = bit_generator.random_raw(int(word_count.sum()))
+        is_double = np.zeros(len(words), dtype=bool)
+        is_double[first_word] = True
+        is_double[first_word + 1] = True
+        doubles = ((words[is_double] >> 11) * 2.0**-53).reshape(used, 2)
+        integer_words = words[~is_double]
+        halves = np.empty(buffered + 2 * len(integer_words), dtype=np.uint64)
+        if buffered:
+            halves[0] = state["uinteger"]
+        halves[buffered::2] = integer_words & 0xFFFFFFFF
+        halves[buffered + 1 :: 2] = integer_words >> 32
+        draws = halves[: 5 * used].reshape(used, 5)
+
+        # The five bounded draws' range sizes, in _make_flow's order.
+        ports = (1 << 16) - 1024
+        ranges = np.array(
+            [1 << 16, 1 << 16, ports, ports, len(WELL_KNOWN_PORTS) + 1], dtype=np.uint64
+        )
+        scaled = draws * ranges
+        thresholds = ((1 << 32) - ranges) % ranges
+        if ((scaled & 0xFFFFFFFF) < thresholds).any():
+            bit_generator.state = state
+            return None
+        values = (scaled >> 32).astype(np.int64)
+        state = bit_generator.state
+        state["has_uint32"] = len(halves) - 5 * used
+        state["uinteger"] = int(halves[-1])
+        bit_generator.state = state
+
+        config = self.config
+        flow_span = np.minimum(config.duration, 0.01 + 0.002 * packet_count)
+        source, destination = self.prefix_pair.source, self.prefix_pair.destination
+        first_id = self._next_flow_id
+        self._next_flow_id += used
+        return FlowColumns(
+            flow_id=np.arange(first_id, first_id + used, dtype=np.int64),
+            src_ip=source.network | (values[:, 0] % (1 << (32 - source.length))),
+            dst_ip=destination.network | (values[:, 1] % (1 << (32 - destination.length))),
+            src_port=1024 + values[:, 2],
+            dst_port=np.choose(values[:, 4], (*WELL_KNOWN_PORTS, 1024 + values[:, 3])),
+            protocol=np.where(doubles[:, 0] < config.tcp_fraction, 6, 17),
+            packet_count=packet_count,
+            start_time=0.0 + config.duration * doubles[:, 1],
+            mean_interarrival=np.maximum(flow_span / packet_count, 1e-6),
+        )
 
     def _make_flow(self, packet_count: int) -> Flow:
         config = self.config
@@ -174,7 +312,7 @@ class FlowGenerator:
             src_ip=self.prefix_pair.source.host(int(rng.integers(0, 1 << 16))),
             dst_ip=self.prefix_pair.destination.host(int(rng.integers(0, 1 << 16))),
             src_port=int(rng.integers(1024, 65536)),
-            dst_port=int(rng.choice([80, 443, 53, 25, 8080, int(rng.integers(1024, 65536))])),
+            dst_port=int(rng.choice([*WELL_KNOWN_PORTS, int(rng.integers(1024, 65536))])),
             protocol=protocol,
             packet_count=packet_count,
             start_time=start_time,

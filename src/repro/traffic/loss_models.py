@@ -45,8 +45,12 @@ class LossModel(RNGStateMixin):
         """Vectorized :meth:`drops` for ``count`` consecutive packets.
 
         The base implementation advances the model packet by packet, so any
-        subclass is batch-capable with identical results; memoryless models
-        override it with a single array draw from the same RNG stream.
+        subclass is batch-capable with identical results.  Every built-in
+        model overrides it with array draws from the same RNG stream:
+        memoryless models with one draw, :class:`GilbertElliottLossModel`
+        with an exact sojourn-by-sojourn scan.  :meth:`drops` stays the
+        oracle an override must reproduce, flags, final state and RNG
+        position alike.
         """
         return np.fromiter(
             (self.drops(first_index + offset) for offset in range(count)),
@@ -113,7 +117,21 @@ class GilbertElliottLossModel(LossModel):
     The convenience constructor :meth:`from_target_rate` chooses ``p`` for a
     desired long-run loss rate given ``r`` and the per-state loss
     probabilities, which is how the benchmarks sweep loss from 0 to 50%.
+
+    :meth:`drops` is the per-packet definition and the oracle.  Each packet
+    takes one uniform for the transition, then one for the loss outcome
+    when the state it lands in has a nonzero loss probability.
+    :meth:`drops_batch` reproduces that stream exactly without a per-packet
+    loop: within one sojourn the draw stride is constant (1 or 2), so it
+    draws a uniform block, locates each sojourn's end with a binary search
+    over the precomputed transition hits of the right stride and parity,
+    fills the sojourn's loss flags with one strided comparison, and finally
+    rewinds the generator and consumes exactly the draws used.
     """
+
+    #: Packets per uniform block in :meth:`drops_batch` (two draws each at
+    #: most), which bounds its transient memory on very large batches.
+    _SPAN = 1 << 20
 
     def __init__(
         self,
@@ -180,6 +198,62 @@ class GilbertElliottLossModel(LossModel):
         if loss_probability <= 0.0:
             return False
         return bool(self._rng.random() < loss_probability)
+
+    def drops_batch(self, first_index: int, count: int) -> np.ndarray:
+        lost = np.zeros(count, dtype=bool)
+        for start in range(0, count, self._SPAN):
+            self._drops_span(lost[start : start + self._SPAN])
+        return lost
+
+    def _drops_span(self, lost: np.ndarray) -> None:
+        """Fill ``lost`` (all ``False`` on entry) exactly as :meth:`drops` would."""
+        count = len(lost)
+        rng = self._rng
+        saved = rng.bit_generator.state
+        uniforms = rng.random(2 * count)
+        # Per state (False = good, True = bad): the probability of leaving
+        # it, its loss probability, and the draw indices that would leave it,
+        # split by parity for the stride-2 (lossy) states.
+        leave = {False: self.p, True: self.r}
+        loss = {False: self.loss_good, True: self.loss_bad}
+        hits = {}
+        for state in (False, True):
+            exits = np.flatnonzero(uniforms < leave[state])
+            hits[state] = (
+                (exits[exits % 2 == 0], exits[exits % 2 == 1])
+                if loss[state] > 0.0
+                else (exits, exits)
+            )
+        bad = self._in_bad_state
+        draw = 0
+        packet = 0
+        while packet < count:
+            stride = 2 if loss[bad] > 0.0 else 1
+            exits = hits[bad][draw % 2]
+            remaining = count - packet
+            index = int(np.searchsorted(exits, draw))
+            # Packets that stay in the state before the one that leaves it.
+            stay = remaining
+            if index < len(exits):
+                stay = min((int(exits[index]) - draw) // stride, remaining)
+            if stride == 2:
+                lost[packet : packet + stay] = (
+                    uniforms[draw + 1 : draw + 2 * stay : 2] < loss[bad]
+                )
+            packet += stay
+            draw += stay * stride
+            if packet == count:
+                break
+            # The transition packet takes its loss draw in the new state.
+            bad = not bad
+            draw += 1
+            if loss[bad] > 0.0:
+                lost[packet] = uniforms[draw] < loss[bad]
+                draw += 1
+            packet += 1
+        self._in_bad_state = bad
+        rng.bit_generator.state = saved
+        rng.random(draw)
 
     def expected_loss_rate(self) -> float:
         if self.p == 0.0:

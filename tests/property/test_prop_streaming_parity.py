@@ -72,6 +72,29 @@ def digest_time_stream(draw, max_size=400):
     return digests, times, bounds
 
 
+def _assert_same_aggregator(merged: Aggregator, whole: Aggregator) -> None:
+    """Same state and, after flushing both, the same receipts.
+
+    Receipts (including AggTrans windows and order) must agree exactly,
+    ``time_sum`` at its documented tolerance.
+    """
+    assert merged.state_digest() == whole.state_digest()
+    path_id = _path_id()
+    whole.flush()
+    merged.flush()
+    whole_receipts = whole.receipts(path_id)
+    merged_receipts = merged.receipts(path_id)
+    assert len(merged_receipts) == len(whole_receipts)
+    for mine, reference in zip(merged_receipts, whole_receipts):
+        assert mine.agg_id == reference.agg_id
+        assert mine.pkt_count == reference.pkt_count
+        assert mine.start_time == reference.start_time
+        assert mine.end_time == reference.end_time
+        assert mine.trans_before == reference.trans_before
+        assert mine.trans_after == reference.trans_after
+        assert np.isclose(mine.time_sum, reference.time_sum, rtol=1e-9, atol=1e-12)
+
+
 def _observe(component, digests, times, batched: bool) -> None:
     if batched:
         component.observe_batch(digests, times)
@@ -141,24 +164,76 @@ class TestAggregatorMerge:
             _observe(part, digests[start:stop], times[start:stop], batched)
             merged.merge(part)
 
+        _assert_same_aggregator(merged, whole)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.lists(st.integers(min_value=0, max_value=400), max_size=3),
+        st.booleans(),
+    )
+    def test_long_lead_unsorted_window_merge_equals_whole_run(self, seed, cuts, batched):
+        """A jittery clock upstream of a long lead.
+
+        The first part's last half-window of times is shuffled, so its
+        sliding window reaches the merge out of order.  The rest of the
+        stream (split further at ``cuts``) spans under half a window, so all
+        of it is lead, and each lead packet counts a different share of that
+        window.  Times are whole ticks of 2**-12 s and the window 2**-7 s, so
+        window edges land exactly on earlier times.  No shuffled entry expires
+        within the stream, so the whole-stream run keeps the same window and
+        both must agree.
+        """
+        tick = 2.0**-12
+        window = 32 * tick
+        rng = np.random.default_rng(seed)
+        first = np.sort(rng.integers(0, 200, size=400)) * tick
+        jittered = first >= first[-1] - window / 2
+        first[jittered] = rng.permutation(first[jittered])
+        rest = first.max() + np.sort(rng.integers(0, 16, size=400)) * tick
+        times = np.concatenate([first, rest])
+        digests = rng.integers(0, MASK64, size=len(times), dtype=np.uint64)
+        config = AggregatorConfig(expected_aggregate_size=20, reorder_window=window)
+        whole = Aggregator(config)
+        _observe(whole, digests, times, batched)
+
+        merged = Aggregator(config)
+        bounds = [0, 400] + sorted(400 + cut for cut in cuts) + [len(times)]
+        for start, stop in zip(bounds, bounds[1:]):
+            part = Aggregator(config)
+            _observe(part, digests[start:stop], times[start:stop], batched)
+            merged.merge(part)
+
+        # Receipts of the shuffled span may end before they start, so only
+        # the (complete) state is compared.
         assert merged.state_digest() == whole.state_digest()
 
-        # Receipts (including AggTrans windows and order) must agree; time_sum
-        # at its documented tolerance.
-        path_id = _path_id()
-        whole.flush()
-        merged.flush()
-        whole_receipts = whole.receipts(path_id)
-        merged_receipts = merged.receipts(path_id)
-        assert len(merged_receipts) == len(whole_receipts)
-        for mine, reference in zip(merged_receipts, whole_receipts):
-            assert mine.agg_id == reference.agg_id
-            assert mine.pkt_count == reference.pkt_count
-            assert mine.start_time == reference.start_time
-            assert mine.end_time == reference.end_time
-            assert mine.trans_before == reference.trans_before
-            assert mine.trans_after == reference.trans_after
-            assert np.isclose(mine.time_sum, reference.time_sum, rtol=1e-9, atol=1e-12)
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_merge_occupancy_counts_an_unsorted_window(self, seed):
+        """Each lead packet of the later part counts the earlier part's
+        window entries at most ``J`` older than itself, in whatever order a
+        jittery clock left them."""
+        window = 0.01
+        rng = np.random.default_rng(seed)
+        first = np.sort(rng.random(300)) * 0.05 + rng.random(300) * window
+        rest = first.max() + np.sort(rng.random(300)) * (window / 2)
+        config = AggregatorConfig(expected_aggregate_size=20, reorder_window=window)
+        left, right = Aggregator(config), Aggregator(config)
+        _observe(left, rng.integers(0, MASK64, size=300, dtype=np.uint64), first, False)
+        right.observe_batch(rng.integers(0, MASK64, size=300, dtype=np.uint64), rest)
+
+        left_times = [seen for _, seen in left._recent]
+        assert left_times != sorted(left_times)
+        expected = max(
+            left._max_window_occupancy,
+            right._max_window_occupancy,
+            *(
+                position + 1 + sum(seen >= time - window for seen in left_times)
+                for position, (_, time) in enumerate(right._lead)
+            ),
+        )
+        assert left.merge(right)._max_window_occupancy == expected
 
     @settings(max_examples=60, deadline=None)
     @given(digest_time_stream(), st.sampled_from([0.0, 1e-3, 1e-2]))
