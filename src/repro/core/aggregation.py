@@ -20,9 +20,11 @@ window of the last ``J`` seconds of packet IDs; per-packet work is constant.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -31,6 +33,27 @@ from repro.net.hashing import MASK64, as_digest_array, threshold_for_rate
 from repro.util.validation import check_non_negative, check_positive
 
 __all__ = ["AggregatorConfig", "Aggregator"]
+
+_DIGEST = itemgetter(0)
+_TIME = itemgetter(1)
+
+
+def _entries_until(entries, limit: float, ordered: bool) -> list[tuple[int, float]]:
+    """The ``(digest, time)`` entries observed at or before ``limit``.
+
+    ``ordered`` entries are time-sorted, so they are a bisected prefix;
+    otherwise every entry is tested, keeping observation order.
+    """
+    if ordered:
+        return list(islice(entries, bisect_right(entries, limit, key=_TIME)))
+    return [entry for entry in entries if entry[1] <= limit]
+
+
+def _entries_since(entries, start: float, ordered: bool) -> list[tuple[int, float]]:
+    """The ``(digest, time)`` entries observed at or after ``start``."""
+    if ordered:
+        return list(islice(entries, bisect_left(entries, start, key=_TIME), None))
+    return [entry for entry in entries if entry[1] >= start]
 
 
 @dataclass(frozen=True)
@@ -130,6 +153,9 @@ class Aggregator:
         self._lead: list[tuple[int, float]] = []
         self._first_cut_suppressed = False
         self._flushed = False
+        # Whether no observation so far came earlier than one before it; then
+        # ``_lead`` and ``_recent`` are time-sorted and merge() can bisect.
+        self._ordered = True
 
     # -- observation ---------------------------------------------------------
 
@@ -151,6 +177,8 @@ class Aggregator:
             self._lead.append((digest, time))
         if self._last_time is None or time > self._last_time:
             self._last_time = time
+        elif time < self._last_time:
+            self._ordered = False
         self._observed_packets += 1
         self._finalize_pending(time)
         if is_cut and self._open is not None and self._open.pkt_count > 0:
@@ -214,14 +242,16 @@ class Aggregator:
         if count == 0:
             return cut_mask
 
-        recent_times = [entry[1] for entry in self._recent]
+        # The sliding window carried in from earlier observations, as arrays.
+        carry_digests = np.array(list(map(_DIGEST, self._recent)), dtype=np.uint64)
+        carry_times = np.array(list(map(_TIME, self._recent)), dtype=np.float64)
         sorted_within = bool(np.all(time_array[1:] >= time_array[:-1]))
-        sorted_carry = all(
-            earlier <= later for earlier, later in zip(recent_times, recent_times[1:])
-        ) and (not recent_times or recent_times[-1] <= time_array[0])
+        sorted_carry = bool(np.all(carry_times[1:] >= carry_times[:-1])) and (
+            not len(carry_times) or carry_times[-1] <= time_array[0]
+        )
         if not (sorted_within and sorted_carry):
-            for index in range(count):
-                self.observe(int(digest_array[index]), float(time_array[index]))
+            for digest, time in zip(digest_array.tolist(), time_array.tolist()):
+                self.observe(digest, time)
             return cut_mask
 
         window = self._window
@@ -236,9 +266,9 @@ class Aggregator:
             )
             if lead_covered:
                 self._lead.extend(
-                    (int(digest), float(time))
-                    for digest, time in zip(
-                        digest_array[:lead_covered], time_array[:lead_covered]
+                    zip(
+                        digest_array[:lead_covered].tolist(),
+                        time_array[:lead_covered].tolist(),
                     )
                 )
         self._observed_packets += count
@@ -254,7 +284,7 @@ class Aggregator:
             deadline = pending.cut_time + window
             covered = int(np.searchsorted(time_array, deadline, side="right"))
             if covered:
-                pending.trans_after.extend(int(value) for value in digest_array[:covered])
+                pending.trans_after.extend(digest_array[:covered].tolist())
             if last_time > deadline:
                 self._finalized.append(pending)
             else:
@@ -263,10 +293,6 @@ class Aggregator:
 
         # Concatenated view of the sliding window carried in from earlier
         # observations plus this batch, for the pre-cut AggTrans windows.
-        carry_digests = np.fromiter(
-            (entry[0] for entry in self._recent), dtype=np.uint64, count=len(self._recent)
-        )
-        carry_times = np.asarray(recent_times, dtype=np.float64)
         all_digests = np.concatenate([carry_digests, digest_array])
         all_times = np.concatenate([carry_times, time_array])
         offset = len(carry_digests)
@@ -299,15 +325,13 @@ class Aggregator:
                 self._cut_count += 1
                 cut_time = float(time_array[position])
                 lo = int(np.searchsorted(all_times, cut_time - window, side="left"))
-                trans_before = tuple(
-                    int(value) for value in all_digests[lo : offset + position]
-                )
+                trans_before = tuple(all_digests[lo : offset + position].tolist())
                 hi = int(np.searchsorted(time_array, cut_time + window, side="right"))
                 pending = _PendingReceipt(
                     aggregate=self._open,
                     cut_time=cut_time,
                     trans_before=trans_before,
-                    trans_after=[int(value) for value in digest_array[position:hi]],
+                    trans_after=digest_array[position:hi].tolist(),
                 )
                 if last_time > cut_time + window:
                     self._finalized.append(pending)
@@ -331,10 +355,7 @@ class Aggregator:
             self._max_window_occupancy = peak
         keep_from = int(window_starts[-1])
         self._recent = deque(
-            zip(
-                (int(value) for value in all_digests[keep_from:]),
-                (float(value) for value in all_times[keep_from:]),
-            )
+            zip(all_digests[keep_from:].tolist(), all_times[keep_from:].tolist())
         )
         return cut_mask
 
@@ -386,12 +407,14 @@ class Aggregator:
                 f"({self._last_time})"
             )
         window = self._window
+        # Time-sorted windows (the usual case) are sliced by bisection.
+        ordered = self._ordered and other._ordered
 
         # 1. Our pending receipts' post-cut windows extend into other's span.
         for pending in self._pending:
             deadline = pending.cut_time + window
             pending.trans_after.extend(
-                digest for digest, time in other._lead if time <= deadline
+                map(_DIGEST, _entries_until(other._lead, deadline, ordered))
             )
         still_pending: list[_PendingReceipt] = []
         for pending in self._pending:
@@ -410,11 +433,11 @@ class Aggregator:
                 aggregate=self._open,
                 cut_time=cut_time,
                 trans_before=tuple(
-                    digest for digest, seen in self._recent if seen >= cut_time - window
+                    map(_DIGEST, _entries_since(self._recent, cut_time - window, ordered))
                 ),
-                trans_after=[
-                    digest for digest, time in other._lead if time <= cut_time + window
-                ],
+                trans_after=list(
+                    map(_DIGEST, _entries_until(other._lead, cut_time + window, ordered))
+                ),
             )
             if other._last_time > cut_time + window:
                 self._finalized.append(boundary)
@@ -432,9 +455,10 @@ class Aggregator:
         for pending in other._finalized + other._pending:
             if pending.cut_time - window <= self._last_time:
                 carried = tuple(
-                    digest
-                    for digest, seen in self._recent
-                    if seen >= pending.cut_time - window
+                    map(
+                        _DIGEST,
+                        _entries_since(self._recent, pending.cut_time - window, ordered),
+                    )
                 )
                 if carried:
                     pending.trans_before = carried + pending.trans_before
@@ -443,12 +467,15 @@ class Aggregator:
         #    counted our still-in-window trailing packets.
         #    Counted by bisection over one sorted copy of our window times,
         #    which is exact whatever their order.
-        left_times = sorted(seen for _, seen in self._recent)
-        for position, (_, time) in enumerate(other._lead):
-            carried = len(left_times) - bisect_left(left_times, time - window)
-            occupancy = position + 1 + carried
-            if occupancy > self._max_window_occupancy:
-                self._max_window_occupancy = occupancy
+        if other._lead:
+            left_times = np.sort(np.array(list(map(_TIME, self._recent)), dtype=np.float64))
+            lead_times = np.array(list(map(_TIME, other._lead)), dtype=np.float64)
+            carried = len(left_times) - np.searchsorted(
+                left_times, lead_times - window, side="left"
+            )
+            peak = int((np.arange(1, len(lead_times) + 1) + carried).max())
+            if peak > self._max_window_occupancy:
+                self._max_window_occupancy = peak
         if other._max_window_occupancy > self._max_window_occupancy:
             self._max_window_occupancy = other._max_window_occupancy
 
@@ -457,7 +484,7 @@ class Aggregator:
         self._pending = still_pending + ([boundary] if boundary is not None else [])
         self._pending.extend(other._pending)
         merged_recent = deque(
-            entry for entry in self._recent if entry[1] >= other._last_time - window
+            _entries_since(self._recent, other._last_time - window, ordered)
         )
         merged_recent.extend(other._recent)
         self._recent = merged_recent
@@ -465,9 +492,11 @@ class Aggregator:
         self._observed_packets += other._observed_packets
         self._cut_count += other._cut_count
         if other._first_time <= self._first_time + window:
-            limit = self._first_time + window
-            self._lead.extend(entry for entry in other._lead if entry[1] <= limit)
+            self._lead.extend(
+                _entries_until(other._lead, self._first_time + window, ordered)
+            )
         self._last_time = other._last_time
+        self._ordered = ordered
         return self
 
     def _first_aggregate(self) -> _OpenAggregate:
@@ -492,6 +521,7 @@ class Aggregator:
         self._last_time = other._last_time
         self._lead = list(other._lead)
         self._first_cut_suppressed = other._first_cut_suppressed
+        self._ordered = other._ordered
 
     def state_digest(self) -> str:
         """A stable hex digest of the aggregator's complete observable state.

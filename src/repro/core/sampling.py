@@ -155,9 +155,9 @@ class DelaySampler:
     def observe_batch(self, digests, times) -> np.ndarray:
         """Vectorized :meth:`observe` over arrays of digests and timestamps.
 
-        Marker detection and the ``SampleFcn`` evaluation over each marker's
-        buffered packets run as array operations; Python-level work is
-        proportional to the number of markers and samples, not packets.  The
+        Marker detection and the ``SampleFcn`` evaluation of every buffered
+        packet against its next marker run as array operations; Python-level
+        work is proportional to the number of samples, not packets.  The
         resulting sampler state (samples, temporary buffer, counters) is
         exactly what the same sequence of scalar :meth:`observe` calls would
         produce, and the two paths can be freely interleaved.
@@ -185,62 +185,52 @@ class DelaySampler:
                 self._first_marker_digest = int(digest_array[first_marker])
             else:
                 self._prefix_len += count
-        sampling_threshold = np.uint64(self._sampling_threshold)
+        tail_start = 0
+        if marker_positions.size:
+            # Occupancy at each marker: the packets it judges (the first
+            # marker also judges the carried-in buffer).
+            judged = np.diff(marker_positions, prepend=-1) - 1
+            judged[0] += len(self._temp_buffer)
+            peak = int(judged.max())
+            if peak > self._max_buffer_occupancy:
+                self._max_buffer_occupancy = peak
 
-        carry_digests = np.fromiter(
-            (entry[0] for entry in self._temp_buffer),
-            dtype=np.uint64,
-            count=len(self._temp_buffer),
-        )
-        carry_times = np.fromiter(
-            (entry[1] for entry in self._temp_buffer),
-            dtype=np.float64,
-            count=len(self._temp_buffer),
-        )
-        segment_start = 0
-        for position in marker_positions:
-            buffered_digests = digest_array[segment_start:position]
-            buffered_times = time_array[segment_start:position]
-            if len(carry_digests):
-                buffered_digests = np.concatenate([carry_digests, buffered_digests])
-                buffered_times = np.concatenate([carry_times, buffered_times])
-                carry_digests = carry_digests[:0]
-                carry_times = carry_times[:0]
-            if len(buffered_digests) > self._max_buffer_occupancy:
-                self._max_buffer_occupancy = len(buffered_digests)
-            marker_digest = digest_array[position]
-            if len(buffered_digests):
-                keys = sample_function_batch(buffered_digests, marker_digest)
+            sampling_threshold = np.uint64(self._sampling_threshold)
+            if self._temp_buffer:
+                carry_digests, carry_times = self._buffer_arrays()
+                keys = sample_function_batch(carry_digests, digest_array[marker_positions[0]])
                 selected = keys > sampling_threshold
-                if selected.any():
-                    self._samples.extend(
-                        SampleRecord(pkt_id=int(pkt_id), time=float(pkt_time))
-                        for pkt_id, pkt_time in zip(
-                            buffered_digests[selected], buffered_times[selected]
-                        )
+                self._samples.extend(
+                    map(
+                        SampleRecord,
+                        carry_digests[selected].tolist(),
+                        carry_times[selected].tolist(),
                     )
-            self._samples.append(
-                SampleRecord(pkt_id=int(marker_digest), time=float(time_array[position]))
-            )
-            segment_start = int(position) + 1
-
-        tail_digests = digest_array[segment_start:]
-        if len(carry_digests) or len(tail_digests):
-            new_buffer = list(
-                zip(
-                    (int(value) for value in np.concatenate([carry_digests, tail_digests])),
-                    (float(value) for value in np.concatenate([carry_times, time_array[segment_start:]])),
                 )
+            # Every packet up to the last marker meets its next marker, all in
+            # one pass; markers meet themselves but are sampled regardless.
+            # In position order this is exactly the scalar loop's sample order.
+            tail_start = int(marker_positions[-1]) + 1
+            next_marker = marker_positions[
+                np.searchsorted(marker_positions, np.arange(tail_start))
+            ]
+            keys = sample_function_batch(digest_array[:tail_start], digest_array[next_marker])
+            sampled = np.flatnonzero(marker_mask[:tail_start] | (keys > sampling_threshold))
+            self._samples.extend(
+                map(SampleRecord, digest_array[sampled].tolist(), time_array[sampled].tolist())
             )
-            if marker_positions.size:
-                self._temp_buffer = new_buffer
-            else:
-                self._temp_buffer.extend(new_buffer[len(carry_digests):])
-            if len(self._temp_buffer) > self._max_buffer_occupancy:
-                self._max_buffer_occupancy = len(self._temp_buffer)
-        elif marker_positions.size:
             self._temp_buffer = []
+        self._temp_buffer.extend(
+            zip(digest_array[tail_start:].tolist(), time_array[tail_start:].tolist())
+        )
+        if len(self._temp_buffer) > self._max_buffer_occupancy:
+            self._max_buffer_occupancy = len(self._temp_buffer)
         return marker_mask
+
+    def _buffer_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The temporary buffer's digests and times as arrays."""
+        digests, times = zip(*self._temp_buffer) if self._temp_buffer else ((), ())
+        return np.array(digests, dtype=np.uint64), np.array(times, dtype=np.float64)
 
     # -- merging -------------------------------------------------------------
 
@@ -282,12 +272,12 @@ class DelaySampler:
             # Our buffered packets meet their next marker inside `other`'s
             # span; their surviving samples precede everything `other`
             # sampled at (and after) that marker.
-            marker_digest = other._first_marker_digest
-            boundary = [
-                SampleRecord(pkt_id=digest, time=time)
-                for digest, time in self._temp_buffer
-                if sample_function(digest, marker_digest) > self._sampling_threshold
-            ]
+            digests, times = self._buffer_arrays()
+            keys = sample_function_batch(digests, other._first_marker_digest)
+            selected = keys > np.uint64(self._sampling_threshold)
+            boundary = list(
+                map(SampleRecord, digests[selected].tolist(), times[selected].tolist())
+            )
             self._samples = self._samples + boundary + other._samples
             self._temp_buffer = list(other._temp_buffer)
         else:

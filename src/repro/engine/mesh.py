@@ -8,14 +8,15 @@ Two engines drive a :class:`~repro.simulation.mesh.MeshScenario`:
 * :class:`MeshRunner` streams all paths *in lockstep*, one trace chunk per
   path per round, pushing each path's chunk through its own
   :class:`~repro.engine.streaming.ScenarioStream` and feeding each HOP the
-  chunk-wise timestamp-merged union.  ``shards=N`` splits the chunk-index
-  range across a process pool exactly as the single-path streaming engine
-  does: the coordinator runs a cheap propagation-plan pass over all paths,
-  captures one :class:`~repro.engine.checkpoint.StreamCheckpoint` per path at
-  each shard boundary, and workers seek every path stream straight to their
-  span (zero prefix replay), merging per-shard collector states in stream
-  order (:meth:`~repro.core.hop.HOPCollector.merge` handles multi-path
-  state).
+  chunk-wise timestamp-merged union.  ``shards=N`` splits the chunk-round
+  range exactly as the single-path streaming engine does (one shared
+  driver): the coordinator propagates every path up to the last span's
+  boundary without hashing or collecting, hands one
+  :class:`~repro.engine.checkpoint.StreamCheckpoint` per path to one of
+  ``N-1`` worker processes at each earlier boundary (workers seek every path
+  stream straight to their span — zero prefix replay), evaluates the last
+  span itself, and merges the collector states in stream order
+  (:meth:`~repro.core.hop.HOPCollector.merge` handles multi-path state).
 
 Both engines leave every collector in bit-identical state: per-path collector
 state depends only on that path's sub-stream (in its own time order), which
@@ -27,27 +28,15 @@ suite asserts.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
-
-from repro.core.hop import HOPCollector, HOPReport
+from repro.core.hop import HOPReport
 from repro.core.protocol import MeshSession
-from repro.engine.checkpoint import StreamCheckpoint
-from repro.engine.streaming import (
-    DEFAULT_CHUNK_SIZE,
-    ScenarioStream,
-    StreamingTruth,
-    _collectors_by_hop,
-    _merge_shard_states,
-    _session_digesters,
-    _shard_bounds,
-)
-from repro.net.batch import PacketBatch
+from repro.engine.streaming import DEFAULT_CHUNK_SIZE, StreamingTruth, _run_interval
 from repro.net.topology import Domain
-from repro.simulation.mesh import MeshObservation, MeshScenario, merge_hop_streams
+from repro.simulation.mesh import MeshObservation, MeshScenario
+from repro.simulation.scenario import PathScenario
 from repro.traffic.trace import SyntheticTrace
 
 __all__ = ["MeshCell", "MeshRunner", "MeshStreamingResult", "run_mesh_batch"]
@@ -59,6 +48,10 @@ class MeshCell(NamedTuple):
     scenario: MeshScenario
     traces: tuple[SyntheticTrace, ...]
     session: MeshSession
+
+    def path_inputs(self) -> tuple[tuple[PathScenario, ...], tuple[SyntheticTrace, ...]]:
+        """The per-path scenarios and traces the streams run, in path order."""
+        return tuple(self.scenario.path_scenarios), tuple(self.traces)
 
 
 @dataclass
@@ -100,90 +93,20 @@ def _total_chunks(traces: Sequence[SyntheticTrace], chunk_size: int) -> int:
     )
 
 
-def _feed_merged(
-    collectors: dict[int, HOPCollector],
-    per_path_emissions: Iterable[list[tuple[int, PacketBatch, np.ndarray]]],
-) -> None:
-    """Merge one round's emissions across paths per HOP and feed collectors."""
-    spans_by_hop: dict[int, list[tuple[PacketBatch, np.ndarray]]] = {}
-    for emissions in per_path_emissions:
-        for hop_id, batch, times in emissions:
-            if len(batch):
-                spans_by_hop.setdefault(hop_id, []).append((batch, times))
-    for hop_id, spans in spans_by_hop.items():
-        collector = collectors.get(hop_id)
-        if collector is None:
-            continue
-        batch, times = merge_hop_streams(spans)
-        collector.observe_batch(batch, times)
-
-
-def _advance_round(
-    streams: Sequence[ScenarioStream], iterators: Sequence, flush: bool = False
-) -> list[list[tuple[int, PacketBatch, np.ndarray]]]:
-    """Push one chunk per path (or flush every stream) and gather emissions."""
-    per_path: list[list[tuple[int, PacketBatch, np.ndarray]]] = []
-    for stream, iterator in zip(streams, iterators):
-        if flush:
-            per_path.append(stream.flush())
-            continue
-        chunk = next(iterator, None)
-        per_path.append(stream.push(chunk) if chunk is not None else [])
-    return per_path
-
-
-def _run_mesh_shard(
-    setup: Callable[[], MeshCell],
-    chunk_size: int,
-    start: int,
-    stop: int,
-    checkpoints: tuple[StreamCheckpoint, ...] | None,
-    flush: bool,
-) -> tuple[dict[int, HOPCollector], int]:
-    """Worker entry point: rebuild the mesh cell, seek every path's stream to
-    this shard's round boundary, feed exactly rounds ``[start, stop)``, and
-    return the collector states plus the rounds actually evaluated.
-
-    The chunk index is synchronized across paths, so a shard's span covers a
-    contiguous sub-stream of *every* path — exactly what stream-order
-    collector merging requires.  Paths shorter than ``start`` chunks arrive
-    exhausted (their checkpoint already sits at their end of stream) and
-    contribute nothing until the flush.
-    """
-    cell = setup()
-    collectors = _collectors_by_hop(cell.session)
-    digesters = _session_digesters(cell.session)
-    streams = [
-        ScenarioStream(scenario, collect_truth=False, predigest=digesters)
-        for scenario in cell.scenario.path_scenarios
-    ]
-    if checkpoints is not None:
-        for stream, checkpoint in zip(streams, checkpoints):
-            stream.seek(checkpoint)
-    iterators = [
-        trace.iter_batches(chunk_size, start_chunk=start) for trace in cell.traces
-    ]
-    evaluated = 0
-    for _ in range(start, stop):
-        _feed_merged(collectors, _advance_round(streams, iterators))
-        evaluated += 1
-    if flush:
-        _feed_merged(collectors, _advance_round(streams, iterators, flush=True))
-    return collectors, evaluated
-
-
 class MeshRunner:
     """Drives a mesh measurement interval chunk-by-chunk, optionally sharded.
 
     Mirrors :class:`~repro.engine.streaming.StreamingRunner`: ``setup`` is a
     ready :class:`MeshCell` or a picklable zero-argument callable returning
-    one (required for ``shards > 1``).  The coordinator runs one cheap
-    propagation-plan pass over all paths in lockstep (truth included, nothing
-    hashed), captures per-path checkpoints at each shard's round boundary,
-    and dispatches shards to a process pool as soon as their checkpoints
-    exist; workers seek to their boundary and evaluate only their own span.
-    Collector states merge in stream order — receipt-identical to
-    ``shards=1``, which is receipt-identical to the batch engine.
+    one (required for ``shards > 1``).  The coordinator propagates all paths
+    in lockstep (truth included); up to the last span it hashes and collects
+    nothing, but captures per-path checkpoints at each earlier span's round
+    boundary and dispatches that span to one of ``shards - 1`` worker
+    processes, which seek to their boundary and evaluate only their own span.
+    The coordinator evaluates the last span (every span, with ``shards=1``)
+    and owns the flush.  Collector states merge in stream order, the
+    coordinator's last — receipt-identical to ``shards=1``, which is
+    receipt-identical to the batch engine.
     """
 
     def __init__(
@@ -208,88 +131,16 @@ class MeshRunner:
     def run(self) -> MeshStreamingResult:
         cell = self._setup() if callable(self._setup) else self._setup
         total_chunks = _total_chunks(cell.traces, self.chunk_size)
-        if self.shards == 1:
-            return self._run_single(cell, total_chunks)
-        return self._run_sharded(cell, total_chunks)
-
-    def _run_single(self, cell: MeshCell, total_chunks: int) -> MeshStreamingResult:
-        collectors = _collectors_by_hop(cell.session)
-        digesters = _session_digesters(cell.session)
-        streams = [
-            ScenarioStream(scenario, collect_truth=True, predigest=digesters)
-            for scenario in cell.scenario.path_scenarios
-        ]
-        iterators = [trace.iter_batches(self.chunk_size) for trace in cell.traces]
-        for _ in range(total_chunks):
-            _feed_merged(collectors, _advance_round(streams, iterators))
-        _feed_merged(collectors, _advance_round(streams, iterators, flush=True))
+        streams, shard_chunks = _run_interval(
+            self._setup, cell, self.chunk_size, self.shards, total_chunks
+        )
         reports = cell.session.collect_reports()
         return MeshStreamingResult(
             reports=reports,
             session=cell.session,
             path_truth=tuple(stream.domain_truth for stream in streams),
             chunk_size=self.chunk_size,
-            shards=1,
-            chunks=total_chunks,
-            shard_chunks=(total_chunks,),
-        )
-
-    def _run_sharded(self, cell: MeshCell, total_chunks: int) -> MeshStreamingResult:
-        bounds = _shard_bounds(total_chunks, self.shards)
-        plan_streams = [
-            ScenarioStream(scenario, collect_truth=True, predigest=())
-            for scenario in cell.scenario.path_scenarios
-        ]
-        iterators = [trace.iter_batches(self.chunk_size) for trace in cell.traces]
-        futures: list = [None] * self.shards
-        with ProcessPoolExecutor(max_workers=self.shards) as pool:
-
-            def dispatch(
-                shard: int, checkpoints: tuple[StreamCheckpoint, ...] | None
-            ) -> None:
-                futures[shard] = pool.submit(
-                    _run_mesh_shard,
-                    self._setup,
-                    self.chunk_size,
-                    bounds[shard],
-                    bounds[shard + 1],
-                    checkpoints,
-                    shard == self.shards - 1,
-                )
-
-            dispatch(0, None)
-            next_shard = 1
-            for round_index in range(total_chunks):
-                _advance_round(plan_streams, iterators)
-                while (
-                    next_shard < self.shards
-                    and round_index + 1 == bounds[next_shard]
-                ):
-                    dispatch(
-                        next_shard,
-                        tuple(stream.checkpoint() for stream in plan_streams),
-                    )
-                    next_shard += 1
-            while next_shard < self.shards:
-                dispatch(
-                    next_shard,
-                    tuple(stream.checkpoint() for stream in plan_streams),
-                )
-                next_shard += 1
-            # Flush only after every checkpoint is captured, so held-back
-            # packets complete the downstream domains' ground truth without
-            # perturbing the dispatched propagation states.
-            _advance_round(plan_streams, iterators, flush=True)
-            shard_results = [future.result() for future in futures]
-
-        _merge_shard_states([state for state, _ in shard_results], cell.session)
-        reports = cell.session.collect_reports()
-        return MeshStreamingResult(
-            reports=reports,
-            session=cell.session,
-            path_truth=tuple(stream.domain_truth for stream in plan_streams),
-            chunk_size=self.chunk_size,
             shards=self.shards,
             chunks=total_chunks,
-            shard_chunks=tuple(evaluated for _, evaluated in shard_results),
+            shard_chunks=shard_chunks,
         )

@@ -21,13 +21,14 @@ simulation as a stream:
   continues bit-identically — in another process, or in a later run.
 
 * :class:`StreamingRunner` feeds those emissions to the VPM collectors
-  chunk-by-chunk (single process), or splits the chunk index range across a
-  :class:`~concurrent.futures.ProcessPoolExecutor` (``shards=N``): the
-  coordinator makes one cheap propagation-plan pass (no hashing, no
-  collectors), captures a checkpoint at each shard boundary, and every worker
-  seeks straight to its span — zero prefix replay.  Per-shard collector
-  states are merged exactly (:meth:`repro.core.hop.HOPCollector.merge`), so a
-  sharded run's receipts equal the single-process run's.
+  chunk-by-chunk (single process), or splits the chunk index range into
+  ``shards=N`` contiguous spans: the coordinator propagates the interval up
+  to the last span's boundary without hashing or collecting, handing a
+  checkpoint to one of ``N-1`` pooled worker processes at each earlier
+  boundary (workers seek straight to their span — zero prefix replay), then
+  evaluates the last span itself.  Collector states are merged exactly in
+  stream order (:meth:`repro.core.hop.HOPCollector.merge`), so a sharded
+  run's receipts equal the single-process run's.
 
 Exactness contract: every component must be *streamable* — delay and loss
 models declare it (:attr:`repro.traffic.delay_models.DelayModel.streamable`),
@@ -42,7 +43,8 @@ batch).
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -53,6 +55,7 @@ from repro.engine.checkpoint import StreamCheckpoint
 from repro.net.batch import PacketBatch
 from repro.net.hashing import PacketDigester
 from repro.net.topology import HOP, Domain
+from repro.simulation.mesh import merge_hop_streams
 from repro.simulation.scenario import PathScenario, SegmentCondition
 from repro.traffic.trace import SyntheticTrace
 
@@ -77,6 +80,10 @@ class StreamingCell(NamedTuple):
     scenario: PathScenario
     trace: SyntheticTrace
     session: VPMSession
+
+    def path_inputs(self) -> tuple[tuple[PathScenario, ...], tuple[SyntheticTrace, ...]]:
+        """The per-path scenarios and traces the streams run (one path)."""
+        return (self.scenario,), (self.trace,)
 
 
 @dataclass
@@ -200,6 +207,19 @@ class _StreamSorter:
             return batch, keys  # already sorted and fully emittable
         return batch.take(order[:cut]), sorted_keys[:cut]
 
+    def predigest(self, digesters: Sequence[PacketDigester]) -> None:
+        """Digest the held rows, so splices with later chunks keep digests.
+
+        Rows restored from (or captured into) a checkpoint may share their
+        batch with it, so the digests land on a copy.
+        """
+        if self._batch is None or not digesters:
+            return
+        held = replace(self._batch, _digest_cache=dict(self._batch._digest_cache))
+        for digester in digesters:
+            digester.digest_batch(held)
+        self._batch = held
+
     def snapshot(self) -> dict:
         """The held rows and their keys (shared, never mutated in place)."""
         return {"batch": self._batch, "keys": self._keys}
@@ -226,6 +246,11 @@ class _DomainStage:
         self._reordering = condition.reordering
         self._reorder_sorter = (
             _StreamSorter() if self._reordering.max_lateness != 0.0 else None
+        )
+        self.sorters = tuple(
+            sorter
+            for sorter in (self._egress_sorter, self._reorder_sorter)
+            if sorter is not None
         )
 
     def push(
@@ -280,6 +305,7 @@ class _LinkStage:
         self._link = link
         self._lost: set[int] = losses.setdefault(key, set())
         self._sorter = _StreamSorter()
+        self.sorters = (self._sorter,)
 
     def push(
         self, batch: PacketBatch, times: np.ndarray, watermark: float
@@ -320,7 +346,8 @@ class ScenarioStream:
 
     ``predigest`` lists the packet digesters in play; each chunk is digested
     once up front so every downstream slice and splice reuses the cached
-    values (the one-hash-per-packet property of the batch engine).
+    values (the one-hash-per-packet property of the batch engine).  A stream
+    built without digesters can take them on mid-run (:meth:`digest_with`).
     """
 
     def __init__(
@@ -361,6 +388,19 @@ class ScenarioStream:
                     link, (hop.hop_id, next_hop.hop_id), self.link_losses
                 )
             self._stages.append((stage, next_hop))
+
+    def digest_with(self, digesters: Sequence[PacketDigester]) -> None:
+        """Predigest every later chunk with ``digesters`` too.
+
+        Rows already held back are digested now, once: the holdback buffers
+        splice them into later chunks, and a splice keeps only the digests
+        every part carries, so undigested held rows would make every
+        downstream HOP re-hash every spliced chunk.
+        """
+        self._predigest = tuple(dict.fromkeys((*self._predigest, *digesters)))
+        for stage, _ in self._stages:
+            for sorter in stage.sorters:
+                sorter.predigest(self._predigest)
 
     def push(self, chunk: PacketBatch) -> list[tuple[int, PacketBatch, np.ndarray]]:
         """Propagate one source chunk; return the emissions at every HOP."""
@@ -432,7 +472,9 @@ class ScenarioStream:
         (:meth:`SyntheticTrace.iter_batches` with ``start_chunk``) — from
         there on the stream is bit-identical to one that processed the whole
         prefix.  Only a pristine stream may seek; the stream must be built
-        over the same scenario spec the checkpoint was captured from.
+        over the same scenario spec the checkpoint was captured from.  The
+        restored holdback rows are digested with the stream's ``predigest``
+        digesters (a checkpoint may come from a digest-free stream).
         """
         if self.chunks_pushed or self._template is not None:
             raise ValueError("seek requires a freshly constructed stream")
@@ -449,6 +491,7 @@ class ScenarioStream:
             )
         for (stage, _), state in zip(self._stages, checkpoint.stages):
             stage.restore(state)
+        self.digest_with(self._predigest)
         for hop, state in zip(hops, checkpoint.clocks):
             hop.clock.state_restore(state)
         self._watermark = checkpoint.watermark
@@ -540,7 +583,7 @@ def _shard_bounds(total_chunks: int, shards: int) -> list[int]:
     ``divmod`` spread: the first ``total_chunks % shards`` shards take one
     extra chunk each, so span sizes differ by at most one (any empty spans —
     more shards than chunks — land at the end, where the flush-owning last
-    shard still drains the holdbacks correctly).
+    span still drains the holdbacks correctly).
     """
     base, extra = divmod(total_chunks, shards)
     bounds = [0]
@@ -556,9 +599,7 @@ def _merge_shard_states(
     """Fold shard collector states in stream order and install the result.
 
     ``shard_states`` are the shards' collectors in shard (= stream) order.
-    The merged collectors replace the session agents' — shared by the
-    single-path and mesh runners so the merge discipline cannot drift
-    between engines.
+    The merged collectors replace the session agents'.
     """
     merged = shard_states[0]
     for state in shard_states[1:]:
@@ -569,54 +610,121 @@ def _merge_shard_states(
             agent.replace_collector(hop_id, merged[hop_id])
 
 
-def _feed(
-    collectors: dict[int, HOPCollector],
-    emissions: Iterable[tuple[int, PacketBatch, np.ndarray]],
-) -> None:
-    for hop_id, batch, times in emissions:
-        collector = collectors.get(hop_id)
-        if collector is not None and len(batch):
-            collector.observe_batch(batch, times)
+_Emissions = list[tuple[int, PacketBatch, np.ndarray]]
 
 
-def _run_streaming_shard(
-    setup: Callable[[], StreamingCell],
+def _advance_round(
+    streams: Sequence[ScenarioStream], iterators: Sequence, flush: bool = False
+) -> list[_Emissions]:
+    """Push one chunk per path (or flush every stream) and gather emissions.
+
+    An exhausted path (a shorter trace) contributes nothing until the flush.
+    """
+    per_path: list[_Emissions] = []
+    for stream, iterator in zip(streams, iterators):
+        if flush:
+            per_path.append(stream.flush())
+            continue
+        chunk = next(iterator, None)
+        per_path.append(stream.push(chunk) if chunk is not None else [])
+    return per_path
+
+
+def _feed(collectors: dict[int, HOPCollector], per_path: Iterable[_Emissions]) -> None:
+    """Feed one round's emissions, merged across paths per HOP, to collectors."""
+    spans_by_hop: dict[int, list[tuple[PacketBatch, np.ndarray]]] = {}
+    for emissions in per_path:
+        for hop_id, batch, times in emissions:
+            if len(batch) and hop_id in collectors:
+                spans_by_hop.setdefault(hop_id, []).append((batch, times))
+    for hop_id, spans in spans_by_hop.items():
+        collectors[hop_id].observe_batch(*merge_hop_streams(spans))
+
+
+def _run_shard(
+    setup: Callable,
     chunk_size: int,
     start: int,
     stop: int,
-    checkpoint: StreamCheckpoint | None,
-    flush: bool,
+    checkpoints: tuple[StreamCheckpoint, ...] | None,
 ) -> tuple[dict[int, HOPCollector], int]:
-    """Worker entry point: rebuild the cell, seek the stream to this shard's
-    chunk boundary, feed exactly chunks ``[start, stop)``, and return the
-    collector states plus the number of chunks actually evaluated.
+    """Worker entry point: rebuild the cell, seek every path's stream to
+    chunk ``start``, feed exactly chunk rounds ``[start, stop)``, and return
+    the collector states plus the rounds evaluated.
 
-    Zero prefix replay: the trace iterator seeks by fast-forwarding flow
-    counters (no materialization) and the scenario stream seeks by restoring
-    the coordinator's checkpoint (no propagation), so the worker's cost is
-    proportional to its own span — this is what makes ``shards=N`` scale on
-    N cores.  The returned chunk count therefore equals ``stop - start`` by
-    construction, and the parity tests assert exactly that.
+    Zero prefix replay: the trace iterators seek by fast-forwarding flow
+    counters (no materialization) and the streams seek by restoring the
+    coordinator's checkpoints (no propagation), so the worker's cost is
+    proportional to its own span.  The chunk index is synchronized across
+    paths, so a span covers a contiguous sub-stream of every path — what
+    stream-order collector merging requires.  Workers never flush: the
+    coordinator evaluates the last span.
     """
     cell = setup()
     collectors = _collectors_by_hop(cell.session)
-    stream = ScenarioStream(
-        cell.scenario, collect_truth=False, predigest=_session_digesters(cell.session)
-    )
-    if checkpoint is not None:
-        if checkpoint.chunk_index != start:
-            raise ValueError(
-                f"shard starts at chunk {start} but checkpoint was captured "
-                f"at chunk {checkpoint.chunk_index}"
+    digesters = _session_digesters(cell.session)
+    scenarios, traces = cell.path_inputs()
+    streams = [
+        ScenarioStream(scenario, collect_truth=False, predigest=digesters)
+        for scenario in scenarios
+    ]
+    if checkpoints is not None:
+        for stream, checkpoint in zip(streams, checkpoints):
+            stream.seek(checkpoint)
+    iterators = [trace.iter_batches(chunk_size, start_chunk=start) for trace in traces]
+    for _ in range(start, stop):
+        _feed(collectors, _advance_round(streams, iterators))
+    return collectors, stop - start
+
+
+def _run_interval(
+    setup: Callable, cell, chunk_size: int, shards: int, total_chunks: int
+) -> tuple[list[ScenarioStream], tuple[int, ...]]:
+    """Evaluate one interval of ``cell`` over ``shards`` contiguous chunk spans.
+
+    The coordinator drives every path's stream (ground truth included) in
+    lockstep.  Up to the last span's boundary it neither hashes nor collects:
+    at each earlier span's start it checkpoints the streams and submits the
+    span to one of ``shards - 1`` worker processes (:func:`_run_shard`,
+    which rebuilds the cell with ``setup``; unused when ``shards`` is 1).
+    At the last boundary it starts
+    digesting, feeds the session's collectors for the last span, and owns
+    the flush.  Worker states then merge in stream order, the coordinator's
+    last, into the session.  Returns the coordinator's streams (their truth
+    and link losses cover the whole interval) and the chunks each span
+    evaluated.
+    """
+    scenarios, traces = cell.path_inputs()
+    streams = [ScenarioStream(scenario, collect_truth=True) for scenario in scenarios]
+    iterators = [trace.iter_batches(chunk_size) for trace in traces]
+    bounds = _shard_bounds(total_chunks, shards)
+    pool = ProcessPoolExecutor(max_workers=shards - 1) if shards > 1 else nullcontext()
+    with pool:
+        futures = []
+        for start, stop in zip(bounds[:-2], bounds[1:-1]):
+            checkpoints = tuple(stream.checkpoint() for stream in streams) if start else None
+            futures.append(
+                pool.submit(_run_shard, setup, chunk_size, start, stop, checkpoints)
             )
-        stream.seek(checkpoint)
-    for chunk in cell.trace.iter_batches(chunk_size, start_chunk=start):
-        if stream.chunks_pushed >= stop:
-            break
-        _feed(collectors, stream.push(chunk))
-    if flush:
-        _feed(collectors, stream.flush())
-    return collectors, stream.chunks_pushed - start
+            # Propagate the span (for truth, and to reach the next boundary).
+            for _ in range(start, stop):
+                _advance_round(streams, iterators)
+        collectors = _collectors_by_hop(cell.session)
+        digesters = _session_digesters(cell.session)
+        for stream in streams:
+            stream.digest_with(digesters)
+        for _ in range(bounds[-2], total_chunks):
+            _feed(collectors, _advance_round(streams, iterators))
+        _feed(collectors, _advance_round(streams, iterators, flush=True))
+        shard_results = [future.result() for future in futures]
+    _merge_shard_states(
+        [*(state for state, _ in shard_results), collectors], cell.session
+    )
+    shard_chunks = (
+        *(evaluated for _, evaluated in shard_results),
+        total_chunks - bounds[-2],
+    )
+    return streams, shard_chunks
 
 
 @dataclass
@@ -652,13 +760,15 @@ class StreamingRunner:
         depend on it.
     shards:
         Number of contiguous chunk spans processed in parallel.  The
-        coordinator runs one cheap propagation-plan pass (models + holdbacks
-        only — no hashing, no collectors) that also accumulates ground
-        truth, captures a :class:`StreamCheckpoint` at each shard boundary,
-        and dispatches every shard to a process pool the moment its
-        checkpoint exists; workers seek to their boundary and evaluate only
-        their own span.  Collector states merge in stream order before
-        reports are generated — byte-identical to ``shards=1``.
+        coordinator propagates the interval (models + holdbacks, ground truth
+        included) but, up to the last span, neither hashes nor collects: at
+        each earlier span's start it captures a :class:`StreamCheckpoint` and
+        dispatches the span to a pool of ``shards - 1`` worker processes,
+        which seek to their boundary and evaluate only their own span.  The
+        coordinator evaluates the last span itself (digesting the held-back
+        rows once as it switches) and owns the flush.  Collector states merge
+        in stream order, the coordinator's last, before reports are
+        generated — byte-identical to ``shards=1``.
     checkpoint_every:
         With ``shards=1``: hand a :class:`RunnerCheckpoint` to
         ``checkpoint_sink`` after every ``checkpoint_every`` chunks (skipping
@@ -743,7 +853,7 @@ class StreamingRunner:
         if resume is not None:
             stream.seek(resume.stream)
         for chunk in cell.trace.iter_batches(self.chunk_size, start_chunk=start_chunk):
-            _feed(collectors, stream.push(chunk))
+            _feed(collectors, [stream.push(chunk)])
             if (
                 self._checkpoint_sink is not None
                 and self.checkpoint_every
@@ -757,7 +867,7 @@ class StreamingRunner:
                         chunk_size=self.chunk_size,
                     )
                 )
-        _feed(collectors, stream.flush())
+        _feed(collectors, [stream.flush()])
         reports = session.collect_reports()
         return StreamingResult(
             reports=reports,
@@ -771,56 +881,17 @@ class StreamingRunner:
         )
 
     def _run_sharded(self, cell: StreamingCell, total_chunks: int) -> StreamingResult:
-        bounds = _shard_bounds(total_chunks, self.shards)
-        # Plan pass: drive propagation (truth included, emissions discarded,
-        # nothing hashed) and dispatch each shard the moment the plan reaches
-        # its boundary, so workers run concurrently with the plan pass.
-        plan_stream = ScenarioStream(cell.scenario, collect_truth=True, predigest=())
-        futures: list = [None] * self.shards
-        with ProcessPoolExecutor(max_workers=self.shards) as pool:
-
-            def dispatch(shard: int, checkpoint: StreamCheckpoint | None) -> None:
-                futures[shard] = pool.submit(
-                    _run_streaming_shard,
-                    self._setup,
-                    self.chunk_size,
-                    bounds[shard],
-                    bounds[shard + 1],
-                    checkpoint,
-                    shard == self.shards - 1,
-                )
-
-            dispatch(0, None)
-            next_shard = 1
-            for chunk in cell.trace.iter_batches(self.chunk_size):
-                plan_stream.push(chunk)
-                while (
-                    next_shard < self.shards
-                    and plan_stream.chunks_pushed == bounds[next_shard]
-                ):
-                    dispatch(next_shard, plan_stream.checkpoint())
-                    next_shard += 1
-            while next_shard < self.shards:
-                # Empty trailing spans (more shards than chunks): they start
-                # at end-of-stream; the last one still owns the flush.
-                dispatch(next_shard, plan_stream.checkpoint())
-                next_shard += 1
-            # Flush only after every checkpoint is captured: packets held
-            # back upstream reach downstream domains' truth accumulators
-            # here, completing the ground truth without touching the
-            # propagation state the shards were dispatched with.
-            plan_stream.flush()
-            shard_results = [future.result() for future in futures]
-
-        _merge_shard_states([state for state, _ in shard_results], cell.session)
+        streams, shard_chunks = _run_interval(
+            self._setup, cell, self.chunk_size, self.shards, total_chunks
+        )
         reports = cell.session.collect_reports()
         return StreamingResult(
             reports=reports,
             session=cell.session,
-            domain_truth=plan_stream.domain_truth,
-            link_losses=plan_stream.link_losses,
+            domain_truth=streams[0].domain_truth,
+            link_losses=streams[0].link_losses,
             chunk_size=self.chunk_size,
             shards=self.shards,
             chunks=total_chunks,
-            shard_chunks=tuple(evaluated for _, evaluated in shard_results),
+            shard_chunks=shard_chunks,
         )

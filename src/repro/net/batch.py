@@ -173,7 +173,7 @@ class PacketBatch:
             protocol=self.protocol[indices],
             ip_id=self.ip_id[indices],
             length=self.length[indices],
-            payload=self.payload[indices],
+            payload=np.take(self.payload, indices, axis=0),
             uid=self.uid[indices],
             send_time=self.send_time[indices],
             flow_id=self.flow_id[indices],
@@ -190,7 +190,11 @@ class PacketBatch:
         result's cache holds the concatenated digest array, so downstream HOPs
         never re-hash a packet that some earlier stage already digested.  This
         is what preserves the one-hash-per-packet property when the streaming
-        engine's holdback buffers splice rows from adjacent chunks.
+        engine's holdback buffers splice rows from adjacent chunks.  A key
+        missing on any part is dropped: hashing the result then hashes every
+        row, so callers digest each part first (as
+        :meth:`repro.engine.streaming.ScenarioStream.digest_with` does for
+        held rows).
         """
         parts = [part for part in parts]
         if not parts:
